@@ -2,8 +2,9 @@
 
 Each interface is exported to JSON (:func:`repro.interface.export.
 interface_to_json`).  For any seed it must be complete (every choice node
-bound exactly once) and have at least the log's required number of views;
-a repeat request must export byte-identically to the request that first
+bound exactly once) and have at least the log's ``expected_min_views``
+(logs in :data:`KNOWN_VIEW_SHORTFALL`: the pinned count); a repeat
+request must export byte-identically to the request that first
 served its log.  For the default seed the export's digest must equal the one
 pinned in ``digests.json``.
 """
@@ -21,9 +22,11 @@ DIGESTS_PATH = Path(__file__).resolve().parent / "digests.json"
 #: the commit that introduced this benchmark: the program maps Abstract
 #: (Listing 2) and Connect (Listing 3) to one view, where the workload's
 #: ``expected_min_views`` (the paper's overview+detail and linked pair) is 2.
-#: The check requires the program's current count for these logs and every
-#: run prints the shortfall; drop an entry once the program reaches the
-#: paper's count.
+#: For the paper's own queries the check requires exactly this count, so a
+#: change in either direction fails; a program change that reaches the
+#: paper's count must drop the entry.  A literal-perturbed variant of these
+#: logs may already reach the paper's count, so for variants this count is
+#: the minimum.  Every run prints the shortfall.
 KNOWN_VIEW_SHORTFALL = {"abstract": 1, "connect": 1}
 
 
@@ -31,8 +34,16 @@ def digest(exported: str) -> str:
     return hashlib.sha256(exported.encode("utf-8")).hexdigest()[:16]
 
 
-def required_views(log: str, expected_min_views: int) -> int:
-    return KNOWN_VIEW_SHORTFALL.get(log, expected_min_views)
+def view_problem(log: str, views: int, expected_min_views: int, variant: bool) -> Optional[str]:
+    """What is wrong with an interface of ``views`` views for ``log`` (or, with
+    ``variant``, for a literal-perturbed variant of it), if anything."""
+    pinned = KNOWN_VIEW_SHORTFALL.get(log)
+    if pinned is not None and (views < pinned or (views != pinned and not variant)):
+        return (f"{views} view(s), pinned shortfall is {pinned} "
+                f"(paper: {expected_min_views}); update checks.KNOWN_VIEW_SHORTFALL")
+    if pinned is None and views < expected_min_views:
+        return f"{views} view(s), need {expected_min_views}"
+    return None
 
 
 def load_digests(workload: str) -> dict[str, str]:
@@ -52,6 +63,7 @@ def problems(
     exported: str,
     log: str,
     expected_min_views: int,
+    variant: bool,
     pinned: Optional[str],
     first_export: Optional[str],
 ) -> list[str]:
@@ -61,9 +73,9 @@ def problems(
         return ["no interface"]
     if not interface.is_complete():
         found.append("interface is not complete")
-    need = required_views(log, expected_min_views)
-    if interface.num_views() < need:
-        found.append(f"{interface.num_views()} view(s), need {need}")
+    views = view_problem(log, interface.num_views(), expected_min_views, variant)
+    if views is not None:
+        found.append(views)
     if interface.cost is None:
         found.append("interface has no cost")
     if pinned is not None and digest(exported) != pinned:

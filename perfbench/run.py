@@ -2,7 +2,7 @@
 
 Run from the repository root::
 
-    python3 perfbench/run.py --workload filter-cold --seed 42 --seconds 25 --trace 0
+    python3 perfbench/run.py --workload filter-cold --seed 42 --seconds 40 --trace 0
 
 Workloads (``BENCHMARK.json`` records why each was chosen):
 
@@ -27,7 +27,10 @@ import argparse
 import gc
 import json
 import math
+import multiprocessing
+import os
 import resource
+import signal
 import statistics
 import sys
 import time
@@ -155,9 +158,15 @@ STAT_FIELDS = {
 }
 
 SETUP_REPEATS = {"filter-cold": 101, "paper-logs-scale16": 9, "serve-mixed": 9}
-#: serve-mixed: repeats per fresh request in a round, and the rounds every
-#: run makes (interface_cost is taken over these, so it is the same for
-#: every run of a seed)
+#: serve-mixed's synthetic traffic mix (no recorded request stream exists to
+#: take it from).  Every run makes at least SERVE_MIN_ROUNDS rounds, so each
+#: log has at least 5 fresh samples for its median, and interface_cost is
+#: taken over those rounds, so it is the same for every run of a seed.
+#: SERVE_REPEATS is the smallest repeat count with which the minimum rounds
+#: leave at least MIN_TAIL_SAMPLES requests beyond request_p90_s:
+#: 6 logs x (1 + 3) x 5 rounds = 120 requests, 12 beyond the 90th percentile
+#: (with 2 repeats: 90 requests, 9 beyond).  SERVE_MAX_ROUNDS only caps the
+#: variants made in advance; a 40 s run makes 11 to 14 rounds.
 SERVE_REPEATS = 3
 SERVE_MIN_ROUNDS = 5
 SERVE_MAX_ROUNDS = 40
@@ -201,10 +210,11 @@ class Session:
         self.stat_totals: dict[str, float] = defaultdict(float)
         self.export_s = 0.0
 
-    def request(self, key: str, log: str, fresh: bool, call):
+    def request(self, key: str, log: str, fresh: bool, call, variant: bool = False):
         """Serve one request; returns ``(latency, result)``.  ``key`` names
         the request's exact input: every request with one key must export
-        the same interface."""
+        the same interface.  ``variant`` marks a literal-perturbed variant
+        of ``log``."""
         from repro.interface.export import interface_to_json
         from repro.workloads import WORKLOADS as LOGS
 
@@ -234,6 +244,7 @@ class Session:
                 exported,
                 log,
                 LOGS[log].expected_min_views,
+                variant,
                 self.pinned.get(key),
                 self.first_export.get(key),
             )
@@ -379,6 +390,7 @@ def setup_serve_mixed(seed, session, setup):
             latency, _ = session.request(
                 f"{index}/{req.log}", req.log, req.fresh,
                 lambda: service.generate(queries),
+                variant=True,
             )
             wall += latency
             if len(service.requests) > served:
@@ -488,11 +500,64 @@ def _print_breakdown(m: dict[str, float]) -> None:
         print(f"  share {prefix + '.*':<20} {100 * share:6.2f}%")
 
 
+def _child_pids() -> list[int]:
+    """This process's live children, read from ``/proc``."""
+    me = str(os.getpid())
+    found = []
+    for entry in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            # the command name in parentheses may hold spaces: split after it
+            fields = entry.read_text().rsplit(")", 1)[1].split()
+        except (OSError, IndexError):
+            continue
+        if fields[1] == me:
+            found.append(int(entry.parent.name))
+    return found
+
+
+def _stop_children() -> None:
+    """Stop every process this run started and wait for each to end.
+
+    The pool's workers are joined by ``GenerationService.close``; what is
+    left is multiprocessing's resource tracker, which the shared-memory
+    catalogue starts and which would otherwise end only some time after
+    this process exits.  It ends once every process holding its pipe has,
+    so any stray child is stopped first.
+    """
+    from multiprocessing import resource_tracker
+
+    tracker = resource_tracker._resource_tracker
+    for child in multiprocessing.active_children():
+        child.terminate()
+        child.join(5)
+        if child.is_alive():
+            child.kill()
+            child.join()
+    for pid in _child_pids():
+        if pid == getattr(tracker, "_pid", None):
+            continue
+        try:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        except (ProcessLookupError, ChildProcessError):
+            pass
+    stop = getattr(tracker, "_stop", None)
+    if stop is not None:
+        stop()
+
+
 def main(argv=None) -> int:
+    try:
+        return _main(argv)
+    finally:
+        _stop_children()
+
+
+def _main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", choices=WORKLOADS, required=True)
     parser.add_argument("--seed", type=int, default=inputs.DEFAULT_SEED)
-    parser.add_argument("--seconds", type=float, default=25.0)
+    parser.add_argument("--seconds", type=float, default=40.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument(
         "--write-digests", action="store_true",

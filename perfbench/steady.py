@@ -7,7 +7,7 @@ as a share of the median -- against the metric's bound in
 ``BENCHMARK.json``.  A spread over the bound is flagged ``FAIL``; over a
 third of it, ``tight``.  With ``--sets 2`` it makes a second set of runs and
 also flags a metric whose second median is worse than the first by more
-than the bound.  ``setup_s`` is held only to the median comparison.
+than the bound.  Every metric, ``setup_s`` included, is held to both.
 
     python3 perfbench/steady.py --runs 10 --sets 2 --out perfbench/out/steady.json
 """
@@ -57,9 +57,9 @@ def report(bench: dict, values: dict) -> bool:
                 medians.append(q2)
                 s = spread(runs[name])
                 status = "ok"
-                if name != "setup_s" and s > bound:
+                if s > bound:
                     status, ok = "FAIL", False
-                elif name != "setup_s" and s > bound / 3:
+                elif s > bound / 3:
                     status = "tight"
                 print(f"  {name:<18} {q1:12.6g} {q2:12.6g} {q3:12.6g} {s:8.4f} {bound:6.3f}  {status}")
             for first, second in zip(medians, medians[1:]):

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import json
 import random
+import subprocess
 import sys
 from pathlib import Path
 
@@ -17,6 +18,7 @@ ROOT = BENCH.parent
 sys.path.insert(0, str(BENCH))
 sys.path.insert(0, str(ROOT / "src"))
 
+import checks  # noqa: E402
 import inputs  # noqa: E402
 import run  # noqa: E402
 import spans  # noqa: E402
@@ -117,6 +119,26 @@ def test_tail_percentile_needs_ten_samples_beyond():
     assert tail_percentile([1.0] * 19, 50) is None
 
 
+def test_serve_mixed_minimum_rounds_allow_p90():
+    per_round = len(inputs.PAPER_LOGS) * (1 + run.SERVE_REPEATS)
+    latencies = [float(i) for i in range(per_round * run.SERVE_MIN_ROUNDS)]
+    assert tail_percentile(latencies, 90) is not None
+    fewer = len(inputs.PAPER_LOGS) * run.SERVE_REPEATS * run.SERVE_MIN_ROUNDS
+    assert tail_percentile(latencies[:fewer], 90) is None
+
+
+def test_view_check_pins_known_shortfall():
+    assert checks.view_problem("filter", 3, 2, False) is None
+    assert checks.view_problem("filter", 1, 2, True) is not None
+    pinned = checks.KNOWN_VIEW_SHORTFALL["abstract"]
+    for variant in (False, True):
+        assert checks.view_problem("abstract", pinned, 2, variant) is None
+        assert checks.view_problem("abstract", pinned - 1, 2, variant) is not None
+    # the paper's own log: exactly the pinned count; a variant may reach more
+    assert checks.view_problem("abstract", 2, 2, False) is not None
+    assert checks.view_problem("abstract", 2, 2, True) is None
+
+
 def test_spread_and_mean_of_medians():
     assert spread([5.0] * 10) == 0.0
     q1, q2, q3 = quartiles([1.0, 2.0, 3.0, 4.0, 5.0])
@@ -175,3 +197,27 @@ def test_benchmark_json_matches_the_command():
     assert {m["name"]: m["unit"] for m in bench["end_to_end"]} == run.E2E_UNITS
     assert {m["name"]: m["unit"] for m in bench["per_layer"]} == run.LAYER_UNITS
     assert [w["name"] for w in bench["workloads"]] == list(run.WORKLOADS)
+
+
+def test_stop_children_leaves_no_process_behind(tmp_path):
+    # in a process of its own: stopping children inside the test runner
+    # would stop the runner's own helpers
+    script = tmp_path / "children.py"
+    script.write_text(
+        "import multiprocessing, subprocess, sys, time\n"
+        f"sys.path.insert(0, {str(BENCH)!r})\n"
+        "import run\n"
+        "from multiprocessing import shared_memory\n"
+        "segment = shared_memory.SharedMemory(create=True, size=16)\n"
+        "segment.close(); segment.unlink()\n"
+        "sleeper = subprocess.Popen([sys.executable, '-c', 'import time; time.sleep(60)'])\n"
+        "worker = multiprocessing.get_context('fork').Process(target=time.sleep, args=(60,))\n"
+        "worker.start()\n"
+        "assert len(run._child_pids()) >= 3, run._child_pids()\n"
+        "run._stop_children()\n"
+        "print(run._child_pids())\n"
+    )
+    out = subprocess.run(
+        [sys.executable, str(script)], capture_output=True, text=True, timeout=60, check=True
+    )
+    assert out.stdout.strip() == "[]"
