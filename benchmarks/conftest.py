@@ -1,10 +1,12 @@
 """Shared fixtures and helpers for the benchmark harness.
 
-Every benchmark regenerates one table or figure of the paper's evaluation
-(see DESIGN.md's per-experiment index).  Absolute numbers differ from the
-paper (different hardware, a Python substrate instead of the authors' C++/JS
-stack, down-scaled search budgets), but each benchmark prints the same rows /
-series the paper reports and asserts that the qualitative shape holds.
+Every benchmark regenerates one table or figure of the paper's evaluation,
+named in its module docstring; the end-to-end ``generate`` benchmark lives
+in ``perfbench/`` (perfbench/README.md, "Workloads").  Absolute numbers
+differ from the paper (different hardware, a Python substrate instead of the
+authors' C++/JS stack, down-scaled search budgets), but each benchmark
+prints the same rows / series the paper reports and asserts that the
+qualitative shape holds.
 """
 
 from __future__ import annotations

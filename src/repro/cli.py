@@ -434,7 +434,13 @@ def _command_list_workloads() -> int:
 
 def _command_stats(args) -> int:
     """Pretty-print per-phase wall-clock attribution and cache hit rates."""
-    from .obs import cache_hit_rates, phase_attribution, read_trace
+    from .obs import (
+        cache_hit_rates,
+        phase_attribution,
+        read_trace,
+        span_attribution,
+        span_phase,
+    )
 
     events, metrics = read_trace(args.trace)
     if not events:
@@ -442,11 +448,13 @@ def _command_stats(args) -> int:
         return 1
 
     attribution = phase_attribution(events)
+    by_span = span_attribution(events)
     total = sum(attribution.values())
     workers = len({e.pid for e in events})
     print(f"trace: {len(events)} spans across {workers} process(es)")
     print(f"\nphase attribution (self time, {total:.3f}s total):")
     width = max(len(p) for p in attribution)
+    span_width = max(len(name) for name in by_span)
     for phase_name, seconds in sorted(
         attribution.items(), key=lambda kv: -kv[1]
     ):
@@ -455,6 +463,18 @@ def _command_stats(args) -> int:
         share = (seconds / total * 100.0) if total else 0.0
         bar = "#" * int(round(share / 2))
         print(f"  {phase_name.ljust(width)}  {seconds:9.4f}s  {share:5.1f}%  {bar}")
+        # the phase split by span name, when more than one span feeds it
+        names = sorted(
+            (name for name in by_span if span_phase(name) == phase_name),
+            key=lambda name: -by_span[name],
+        )
+        if len(names) > 1:
+            for name in names:
+                span_share = (by_span[name] / total * 100.0) if total else 0.0
+                print(
+                    f"    {name.ljust(span_width)}  {by_span[name]:9.4f}s  "
+                    f"{span_share:5.1f}%"
+                )
 
     rows = cache_hit_rates(metrics)
     if rows:

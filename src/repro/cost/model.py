@@ -15,7 +15,7 @@ visualization interactions use low constants so the search prefers them
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from ..interface.spec import (
     AppliedInteraction,
@@ -26,6 +26,9 @@ from ..interface.spec import (
 )
 from ..sqlparser.ast_nodes import Node
 from .fitts import centroid_distance, fitts_time
+
+if TYPE_CHECKING:
+    from ..mapping.layout import LayoutLeaf
 
 #: Widget manipulation-cost polynomial coefficients, fit to the widget
 #: interaction traces used by the paper's prototype (second-order form).
@@ -64,12 +67,20 @@ class CostModel:
         #: ordered choice-node ids); keyed by the tree's structural fingerprint
         #: plus its choice-node ids, so equivalent trees across candidate
         #: interfaces share the (expensive) derivation work
-        self._tree_plans: dict[tuple, tuple[dict, list[int]]] = {}
+        self._tree_plans: dict[tuple, tuple[dict, tuple[int, ...]]] = {}
+        #: (key, schedule) of the last tree set scored (see :meth:`_schedule`).
+        #: Candidates over one tree set are scored back to back — the whole
+        #: final Algorithm-1 search, the K reward samples of one state — so
+        #: one slot serves every repeat without growing with the search.
+        self._last_schedule: tuple[Optional[tuple], list] = (None, [])
 
-    def _tree_plan(self, tree) -> tuple[dict, list[int]]:
+    @staticmethod
+    def _tree_key(tree) -> tuple:
+        return (tree.fingerprint(), tree.choice_node_order())
+
+    def _tree_plan(self, tree) -> tuple[dict, tuple[int, ...]]:
         """(query fingerprint → per-node params or None, ordered node ids)."""
-        node_ids = [n.node_id for n in tree.choice_nodes()]
-        key = (tree.fingerprint(), tuple(node_ids))
+        key = self._tree_key(tree)
         if key in self._tree_plans:
             return self._tree_plans[key]
         plan: dict[str, Optional[dict[int, tuple]]] = {}
@@ -84,8 +95,45 @@ class CostModel:
                     binding.param,
                 )
             plan[fp] = params
-        self._tree_plans[key] = (plan, node_ids)
+        self._tree_plans[key] = (plan, key[1])
         return self._tree_plans[key]
+
+    def _schedule(self, views) -> list[tuple[Optional[int], tuple[int, ...]]]:
+        """Per input query: the view that expresses it and the choice-node ids
+        whose binding changes, in depth-first order.
+
+        Binding state is tracked across the query sequence, but it depends
+        only on the views' trees — never on the mappings — so the schedule is
+        derived once per tree set and shared by every candidate interface
+        scored over it.
+        """
+        key = tuple(self._tree_key(view.tree) for view in views)
+        if self._last_schedule[0] == key:
+            return self._last_schedule[1]
+        # current parameter per choice node (None = untouched default)
+        current: dict[int, tuple] = {}
+        view_plans = [self._tree_plan(view.tree) for view in views]
+        schedule: list[tuple[Optional[int], tuple[int, ...]]] = []
+        for query_fp in self._query_fps:
+            entry: tuple[Optional[int], tuple[int, ...]] = (None, ())
+            for view_index, (tree_plan, ordered_nodes) in enumerate(view_plans):
+                params = tree_plan.get(query_fp)
+                if params is None:
+                    continue
+                changed_nodes = {
+                    node_id
+                    for node_id, value in params.items()
+                    if current.get(node_id) != value
+                }
+                current.update(params)
+                entry = (
+                    view_index,
+                    tuple(n for n in ordered_nodes if n in changed_nodes),
+                )
+                break
+            schedule.append(entry)
+        self._last_schedule = (key, schedule)
+        return schedule
 
     # -- per-element costs -------------------------------------------------------
 
@@ -119,36 +167,30 @@ class CostModel:
         chart still requires the user to navigate to that chart — this is what
         makes a wall of static charts costlier than one interactive view.
         """
-        # current parameter per choice node (None = untouched default)
-        current: dict[int, tuple] = {}
-        plan: list[tuple[Optional[int], list[Mapping]]] = []
-        view_plans = [self._tree_plan(view.tree) for view in interface.views]
+        mappings = interface.all_mappings()
+        return [
+            (view_index, [mappings[index] for index in picked])
+            for view_index, picked in self._indexed_plan(interface, mappings)
+        ]
 
-        for query_fp in self._query_fps:
-            manipulated: list[Mapping] = []
-            view_for_query: Optional[int] = None
-            for view_index, (tree_plan, ordered_nodes) in enumerate(view_plans):
-                params = tree_plan.get(query_fp)
-                if params is None:
-                    continue
-                view_for_query = view_index
-                changed_nodes = {
-                    node_id
-                    for node_id, value in params.items()
-                    if current.get(node_id) != value
-                }
-                current.update(params)
-                seen_mappings: list[Mapping] = []
-                for node_id in ordered_nodes:  # depth-first traversal order
-                    if node_id not in changed_nodes:
-                        continue
-                    mapping = interface.mapping_for(node_id)
-                    if mapping is None or any(mapping is m for m in seen_mappings):
-                        continue
-                    seen_mappings.append(mapping)
-                manipulated.extend(seen_mappings)
-                break
-            plan.append((view_for_query, manipulated))
+    def _indexed_plan(
+        self, interface: Interface, mappings: list[Mapping]
+    ) -> list[tuple[Optional[int], list[int]]]:
+        """:meth:`query_plan` with each mapping given as its index in
+        ``mappings`` (the interface's ``all_mappings()``)."""
+        # node id -> index of the first mapping covering it, as in mapping_for
+        owner: dict[int, int] = {}
+        for index, mapping in enumerate(mappings):
+            for node_id in mapping.cover:
+                owner.setdefault(node_id, index)
+        plan: list[tuple[Optional[int], list[int]]] = []
+        for view_index, node_ids in self._schedule(interface.views):
+            picked: list[int] = []
+            for node_id in node_ids:  # depth-first traversal order
+                index = owner.get(node_id)
+                if index is not None and index not in picked:
+                    picked.append(index)
+            plan.append((view_index, picked))
         return plan
 
     def manipulation_sequence(self, interface: Interface) -> list[list[Mapping]]:
@@ -174,13 +216,17 @@ class CostModel:
             # an incomplete interface cannot express the queries: penalise hard
             uncovered_penalty += 50.0 * len(ids - covered)
 
-        for view_index, manipulated in self.query_plan(interface):
+        # each mapping's cost is computed once per interface; the sum runs in
+        # manipulation-sequence order, which fixes its rounding
+        mappings = interface.all_mappings()
+        costs = [self.mapping_cost(mapping) for mapping in mappings]
+        for view_index, picked in self._indexed_plan(interface, mappings):
             if view_index is None:
                 # an input query no view can express: the interface fails its
                 # core guarantee, so the penalty dominates any layout savings
                 uncovered_penalty += 50.0
-            for mapping in manipulated:
-                total += self.mapping_cost(mapping)
+            for index in picked:
+                total += costs[index]
         # when there are no interactions at all (static interface), reading
         # several charts still carries a small cost per extra view
         total += 0.2 * max(0, interface.num_views() - 1)
@@ -197,18 +243,25 @@ class CostModel:
         """
         if interface.layout is None:
             return 0.0
+        # first leaf per ref, as LayoutTree.leaf_for resolves it
+        leaf_by_ref: dict[int, LayoutLeaf] = {}
+        for leaf in interface.layout.leaves():
+            leaf_by_ref.setdefault(id(leaf.ref), leaf)
         total = 0.0
         previous_leaf = None
         for view_index, manipulated in self.query_plan(interface):
             stops = []
             if view_index is not None:
-                view_leaf = interface.layout.leaf_for(
-                    interface.views[view_index].vis
-                )
+                view_leaf = leaf_by_ref.get(id(interface.views[view_index].vis))
                 if view_leaf is not None:
                     stops.append(view_leaf)
             for mapping in manipulated:
-                leaf = self._leaf_for_mapping(interface, mapping)
+                if isinstance(mapping, AppliedWidget):
+                    ref = mapping.candidate
+                else:
+                    # a visualization interaction is performed on its source chart
+                    ref = interface.views[mapping.source_view_index].vis
+                leaf = leaf_by_ref.get(id(ref))
                 if leaf is not None:
                     stops.append(leaf)
             for leaf in stops:
@@ -219,15 +272,6 @@ class CostModel:
                     total += fitts_time(distance, leaf.min_extent())
                 previous_leaf = leaf
         return total
-
-    def _leaf_for_mapping(self, interface: Interface, mapping: Mapping):
-        if interface.layout is None:
-            return None
-        if isinstance(mapping, AppliedWidget):
-            return interface.layout.leaf_for(mapping.candidate)
-        # a visualization interaction is performed on its source chart
-        source_view = interface.views[mapping.source_view_index]
-        return interface.layout.leaf_for(source_view.vis)
 
     def layout_penalty(self, interface: Interface) -> float:
         """``CL``: penalty when the interface exceeds the desired size."""

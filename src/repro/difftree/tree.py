@@ -39,21 +39,44 @@ class Difftree:
         self._annotator: Optional[TypeAnnotator] = None
         self._fingerprint: Optional[str] = None
         self._mapping_key: Optional[tuple] = None
+        self._choice_nodes: Optional[tuple[ChoiceNode, ...]] = None
+        self._choice_node_order: tuple[int, ...] = ()
+        self._choice_node_ids: frozenset[int] = frozenset()
 
     # -- basic structure -----------------------------------------------------
 
     def copy(self) -> "Difftree":
         return Difftree(self.root.copy(), [q for q in self.queries])
 
+    def _walk_choice_nodes(self) -> tuple[ChoiceNode, ...]:
+        """The depth-first choice nodes, walked once (the root is never
+        mutated in place — see :meth:`fingerprint`), plus their ids."""
+        if self._choice_nodes is None:
+            self._choice_nodes = tuple(choice_nodes(self.root))
+            self._choice_node_order = tuple(n.node_id for n in self._choice_nodes)
+            self._choice_node_ids = frozenset(self._choice_node_order)
+        return self._choice_nodes
+
     def choice_nodes(self) -> list[ChoiceNode]:
-        return choice_nodes(self.root)
+        """The choice nodes in depth-first order, as a fresh list."""
+        return list(self._walk_choice_nodes())
+
+    def choice_node_order(self) -> tuple[int, ...]:
+        """The choice-node ids in depth-first order (cached)."""
+        self._walk_choice_nodes()
+        return self._choice_node_order
+
+    def choice_node_ids(self) -> frozenset[int]:
+        """The set of choice-node ids (cached)."""
+        self._walk_choice_nodes()
+        return self._choice_node_ids
 
     def dynamic_nodes(self) -> list[Node]:
         return dynamic_nodes(self.root)
 
     def is_static(self) -> bool:
         """True when the tree has no choice nodes (renders as a static chart)."""
-        return not self.choice_nodes()
+        return not self._walk_choice_nodes()
 
     def fingerprint(self) -> str:
         """Canonical structural identity (cached; the root is never mutated
@@ -76,7 +99,7 @@ class Difftree:
         if self._mapping_key is None:
             self._mapping_key = (
                 self.fingerprint(),
-                tuple(n.node_id for n in self.choice_nodes()),
+                self.choice_node_order(),
                 tuple(q.fingerprint() for q in self.queries),
             )
         return self._mapping_key
@@ -88,7 +111,7 @@ class Difftree:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"Difftree({len(self.queries)} queries, "
-            f"{len(self.choice_nodes())} choice nodes)"
+            f"{len(self._walk_choice_nodes())} choice nodes)"
         )
 
     # -- expressiveness ------------------------------------------------------------

@@ -1,12 +1,12 @@
 """Headless interactive runtime for generated interfaces.
 
 The paper's prototype renders interfaces in a browser; this reproduction
-replaces that layer with a deterministic, headless runtime (see DESIGN.md,
-substitutions).  The runtime keeps the *current parameter* of every choice
-node, accepts widget manipulations and visualization-interaction events,
-re-resolves each Difftree to SQL, executes it against the database substrate
-and exposes the refreshed results — i.e. exactly what the browser front end
-would do, minus the pixels.
+replaces that layer with a deterministic, headless runtime.  The runtime
+keeps the *current parameter* of every choice node, accepts widget
+manipulations and visualization-interaction events, re-resolves each
+Difftree to SQL, executes it against the database substrate and exposes the
+refreshed results — i.e. exactly what the browser front end would do, minus
+the pixels.
 
 It also provides :meth:`InterfaceRuntime.replay_query`, which drives the
 interface with the manipulations needed to express one input query and checks
@@ -175,7 +175,7 @@ class InterfaceRuntime:
         ids = {n.node_id for n in choice_nodes}
         affected = []
         for i, view in enumerate(self.interface.views):
-            view_ids = {n.node_id for n in view.tree.choice_nodes()}
+            view_ids = view.tree.choice_node_ids()
             if view_ids & ids:
                 affected.append(i)
         return affected

@@ -154,7 +154,8 @@ class InterfaceMapper:
 
     def _generate(self, trees: Sequence[Difftree]) -> list[Interface]:
         trees = list(trees)
-        vis_options = self._vis_options(trees)
+        with span("mapping.vis_options"):
+            vis_options = self._vis_options(trees)
         wcand_by_node, universe, clist = self._widget_candidates(trees)
 
         # dynamic programming tables shared across V combinations — and, via
@@ -172,10 +173,17 @@ class InterfaceMapper:
         for vis_combo in self._joint_vis(vis_options):
             self.stats.vis_combinations += 1
             views = [View(tree, vis) for tree, vis in zip(trees, vis_combo)]
-            icand = self._interaction_candidates(trees, vis_combo)
-            self._search_m(
-                trees, views, clist, icand, universe, dp, heap, counter
-            )
+            with span("mapping.interaction_candidates"):
+                icand = self._interaction_candidates(trees, vis_combo)
+            calls, pruned = self.stats.searchm_calls, self.stats.pruned
+            with span("mapping.search_m") as search_span:
+                self._search_m(
+                    trees, views, clist, icand, universe, dp, heap, counter
+                )
+                search_span.set(
+                    searchm_calls=self.stats.searchm_calls - calls,
+                    pruned=self.stats.pruned - pruned,
+                )
 
         candidates = [item[2] for item in heap]
         if not candidates:
@@ -183,10 +191,11 @@ class InterfaceMapper:
 
         # phase 3: layout optimisation over the top-k manipulation-cost mappings
         finished: list[Interface] = []
-        for interface in candidates:
-            self._apply_layout(interface)
-            self.cost_model.cost(interface)
-            finished.append(interface)
+        with span("mapping.layout", interfaces=len(candidates)):
+            for interface in candidates:
+                self._apply_layout(interface)
+                self.cost_model.cost(interface)
+                finished.append(interface)
         finished.sort(key=lambda i: i.cost.total if i.cost else float("inf"))
         return finished
 
@@ -280,7 +289,7 @@ class InterfaceMapper:
         candidates: list[WidgetCandidate] = []
         for node in tree.dynamic_nodes():
             candidates.extend(candidate_widgets(tree, node, self.catalog, bindings))
-        value = ([n.node_id for n in tree.choice_nodes()], candidates)
+        value = (list(tree.choice_node_order()), candidates)
         self.stats.widget_derivations += 1
         self._memo_store(key, value)
         return value

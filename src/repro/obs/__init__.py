@@ -19,6 +19,7 @@ from .export import (
     cache_hit_rates,
     phase_attribution,
     read_trace,
+    span_attribution,
     span_phase,
     write_chrome_trace,
     write_jsonl,
@@ -75,6 +76,7 @@ __all__ = [
     "PHASES",
     "span_phase",
     "phase_attribution",
+    "span_attribution",
     "cache_hit_rates",
     "write_jsonl",
     "write_chrome_trace",

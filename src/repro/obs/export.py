@@ -32,6 +32,7 @@ __all__ = [
     "SPAN_PHASES",
     "span_phase",
     "phase_attribution",
+    "span_attribution",
     "cache_hit_rates",
     "write_jsonl",
     "write_chrome_trace",
@@ -117,6 +118,14 @@ def phase_attribution(events: list[SpanEvent]) -> dict:
     totals = {phase: 0.0 for phase in PHASES}
     for event, self_time in zip(events, _self_times(events)):
         totals[span_phase(event.name)] += self_time
+    return totals
+
+
+def span_attribution(events: list[SpanEvent]) -> dict:
+    """``{span name: seconds}`` of self time, for the names that occur."""
+    totals: dict[str, float] = {}
+    for event, self_time in zip(events, _self_times(events)):
+        totals[event.name] = totals.get(event.name, 0.0) + self_time
     return totals
 
 

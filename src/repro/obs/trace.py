@@ -95,6 +95,9 @@ class _NoopSpan:
     def __exit__(self, *exc_info) -> bool:
         return False
 
+    def set(self, **attrs) -> None:
+        pass
+
 
 _NOOP_SPAN = _NoopSpan()
 
@@ -125,6 +128,10 @@ class _Span:
             stack.pop()
         self._tracer._record(self.name, self._start, duration, self._depth, self.attrs)
         return False
+
+    def set(self, **attrs) -> None:
+        """Add attributes known only once the region's work is done."""
+        self.attrs.update(attrs)
 
 
 class Tracer:

@@ -43,7 +43,7 @@ class SearchState:
         return self._fingerprint
 
     def num_choice_nodes(self) -> int:
-        return sum(len(t.choice_nodes()) for t in self.trees)
+        return sum(len(t.choice_node_order()) for t in self.trees)
 
     def num_trees(self) -> int:
         return len(self.trees)

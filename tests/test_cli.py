@@ -98,3 +98,27 @@ def test_parser_structure():
     assert args.command == "generate" and args.workload == "explore"
     args = parser.parse_args(["list-workloads"])
     assert args.command == "list-workloads"
+
+
+def test_stats_splits_the_map_phase_by_sub_phase(tmp_path, capsys):
+    trace = tmp_path / "trace.json"
+    code = main(
+        ["generate", "--workload", "covid", "--scale", "0.12", "--trace", str(trace)]
+    )
+    assert code == 0
+    capsys.readouterr()
+    assert main(["stats", str(trace)]) == 0
+    out = capsys.readouterr().out
+    lines = out.splitlines()
+    map_row = next(i for i, line in enumerate(lines) if line.startswith("  map "))
+    split = []
+    for line in lines[map_row + 1:]:
+        if not line.startswith("    "):
+            break
+        split.append(line.split()[0])
+    assert {
+        "mapping.vis_options",
+        "mapping.interaction_candidates",
+        "mapping.search_m",
+        "mapping.layout",
+    } <= set(split)

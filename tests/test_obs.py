@@ -45,6 +45,7 @@ from repro.obs import (
     read_trace,
     registry_field_partition,
     span,
+    span_attribution,
     write_chrome_trace,
     write_jsonl,
 )
@@ -234,6 +235,40 @@ def test_phase_attribution_uses_self_time():
     assert attribution["reward"] == pytest.approx(0.5)
     assert set(attribution) >= {"parse", "plan", "execute", "map", "reward",
                                 "sync", "cache", "other"}
+
+
+def test_span_attribution_splits_phases_by_span_name():
+    by_span = span_attribution(_synthetic_events())
+    assert by_span["pipeline.plan"] == pytest.approx(0.6)
+    assert by_span["executor.plan"] == pytest.approx(0.4)
+    assert sum(by_span.values()) == pytest.approx(
+        sum(phase_attribution(_synthetic_events()).values())
+    )
+
+
+def test_final_mapping_records_its_sub_phases():
+    """The map phase splits into vis options, interaction candidates, one
+    searchM span per visualization combination (carrying its call and prune
+    counts) and layout, all inside ``mapping.generate``."""
+    TRACER.enable()
+    catalog = standard_catalog(seed=11, scale=0.12)
+    result = generate_for_workload(
+        WORKLOADS["covid"], catalog=catalog, config=_backend_config("serial")
+    )
+    events = TRACER.events()
+    names = [e.name for e in events]
+    for name in ("mapping.vis_options", "mapping.interaction_candidates", "mapping.layout"):
+        assert name in names
+    (generate,) = [e for e in events if e.name == "mapping.generate"]
+    searches = [e for e in events if e.name == "mapping.search_m"]
+    stats = result.mapper_stats
+    assert len(searches) == stats.vis_combinations
+    assert sum(e.attrs["searchm_calls"] for e in searches) == stats.searchm_calls
+    assert sum(e.attrs["pruned"] for e in searches) == stats.pruned
+    for event in events:
+        if event.name.startswith("mapping.") and event is not generate:
+            assert event.depth > generate.depth
+            assert generate.start <= event.start
 
 
 def test_cache_hit_rates_rows():
