@@ -69,9 +69,12 @@ class CostModel:
         #: interfaces share the (expensive) derivation work
         self._tree_plans: dict[tuple, tuple[dict, tuple[int, ...]]] = {}
         #: (key, schedule) of the last tree set scored (see :meth:`_schedule`).
-        #: Candidates over one tree set are scored back to back — the whole
-        #: final Algorithm-1 search, the K reward samples of one state — so
-        #: one slot serves every repeat without growing with the search.
+        #: Serially, candidates over one tree set are scored back to back —
+        #: the whole final Algorithm-1 search, the K reward samples of one
+        #: state — so one slot serves every repeat without growing with the
+        #: search.  The thread backend shares one CostModel across workers
+        #: whose states interleave, so there the slot may thrash (a miss
+        #: recomputes; the tuple is replaced whole, never torn).
         self._last_schedule: tuple[Optional[tuple], list] = (None, [])
 
     @staticmethod
@@ -108,8 +111,11 @@ class CostModel:
         scored over it.
         """
         key = tuple(self._tree_key(view.tree) for view in views)
-        if self._last_schedule[0] == key:
-            return self._last_schedule[1]
+        # one read of the slot: under the thread backend another worker may
+        # replace it between a key check and a second read
+        cached_key, cached = self._last_schedule
+        if cached_key == key:
+            return cached
         # current parameter per choice node (None = untouched default)
         current: dict[int, tuple] = {}
         view_plans = [self._tree_plan(view.tree) for view in views]

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
+from repro.obs import SpanEvent, write_chrome_trace
 
 
 def test_list_workloads(capsys):
@@ -101,24 +102,30 @@ def test_parser_structure():
 
 
 def test_stats_splits_the_map_phase_by_sub_phase(tmp_path, capsys):
-    trace = tmp_path / "trace.json"
-    code = main(
-        ["generate", "--workload", "covid", "--scale", "0.12", "--trace", str(trace)]
+    sub_phases = (
+        "mapping.vis_options",
+        "mapping.interaction_candidates",
+        "mapping.search_m",
+        "mapping.layout",
     )
-    assert code == 0
-    capsys.readouterr()
+    events = [
+        SpanEvent("pipeline.parse", 0.0, 0.5, pid=1, tid=1, depth=0),
+        SpanEvent("mapping.generate", 1.0, 5.0, pid=1, tid=1, depth=0),
+    ] + [
+        SpanEvent(name, 1.5 + i, 0.5, pid=1, tid=1, depth=1)
+        for i, name in enumerate(sub_phases)
+    ]
+    trace = tmp_path / "trace.json"
+    write_chrome_trace(trace, events)
     assert main(["stats", str(trace)]) == 0
-    out = capsys.readouterr().out
-    lines = out.splitlines()
+    lines = capsys.readouterr().out.splitlines()
     map_row = next(i for i, line in enumerate(lines) if line.startswith("  map "))
     split = []
     for line in lines[map_row + 1:]:
         if not line.startswith("    "):
             break
         split.append(line.split()[0])
-    assert {
-        "mapping.vis_options",
-        "mapping.interaction_candidates",
-        "mapping.search_m",
-        "mapping.layout",
-    } <= set(split)
+    # generate's self time (5.0 - 4 * 0.5) leads, then the sub-phases
+    assert split == ["mapping.generate", *sub_phases]
+    parse_row = next(i for i, line in enumerate(lines) if line.startswith("  parse "))
+    assert not lines[parse_row + 1].startswith("    ")  # one span: no split

@@ -298,3 +298,63 @@ def test_overlapping_mappings_resolve_to_the_first(catalog):
     manipulated = [m for _, ms in model.query_plan(interface) for m in ms]
     assert any(m is first for m in manipulated)
     assert not any(m is interface.widgets[-1] for m in manipulated)
+
+
+# -- one cost model scoring several tree sets ------------------------------------
+
+
+def _two_tree_sets(catalog, model: CostModel) -> list[list[Interface]]:
+    """Random interfaces over the initial trees and over their merge."""
+    mapper = InterfaceMapper(catalog, Executor(catalog), model, MapperConfig())
+    trees = initial_difftrees(model.queries)
+    return [
+        mapper.random_interfaces(tree_set, 3, random.Random(5))
+        for tree_set in (trees, [merge_difftrees(trees)])
+    ]
+
+
+def test_alternating_tree_sets_match_reference(catalog):
+    """Under the thread backend one cost model scores the states of several
+    workers in turn; every answer must still match the reference."""
+    model = CheckedCostModel(parse_queries(list(WORKLOADS["sdss"].queries)))
+    first, second = _two_tree_sets(catalog, model)
+    before = model.checked["manipulation"]
+    for _ in range(2):
+        for a, b in zip(first, second):
+            for interface in (a, b):
+                model.check_manipulation(interface, True)
+                model.check_manipulation(interface, False)
+                model.navigation_cost(interface)
+    assert model.checked["manipulation"] - before == 24
+
+
+class InterleavedCostModel(CheckedCostModel):
+    """Another worker stores its tree set's schedule right after every read
+    of the one-slot schedule cache — the worst interleaving of threads."""
+
+    other: tuple | None = None
+
+    @property
+    def _last_schedule(self):
+        value = self._slot
+        if self.other is not None:
+            self._slot = self.other
+        return value
+
+    @_last_schedule.setter
+    def _last_schedule(self, value):
+        self._slot = value
+
+
+def test_schedule_slot_read_is_not_torn_by_another_writer(catalog):
+    asts = parse_queries(list(WORKLOADS["sdss"].queries))
+    model = InterleavedCostModel(asts)
+    first, second = _two_tree_sets(catalog, model)
+    plain = CostModel(asts)
+    plain.manipulation_cost(second[0])
+    model.other = plain._last_schedule
+    for interface in first:
+        # first call misses and stores; the repeat hits the slot just as the
+        # other writer replaces it
+        model.check_manipulation(interface, True)
+        model.check_manipulation(interface, True)
